@@ -21,6 +21,7 @@
 
 #include "core/adam.h"
 #include "core/config.h"
+#include "core/forward.h"
 #include "data/sparse_batch.h"
 #include "kernels/kernels.h"
 #include "lsh/hash_function.h"
@@ -54,48 +55,19 @@ class Layer {
   std::size_t num_params() const { return dim_ * input_dim_ + dim_; }
 
   // --- forward ------------------------------------------------------------
-  // Pre-activation of one neuron.  The caller picks the overload matching
-  // the previous layer's stored activation format.
-  float pre_activation(std::uint32_t n, data::SparseVectorView x) const {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    if (precision_ == Precision::Bf16All) {
-      return kernels::sparse_dot_bf16(x.indices, x.values, x.nnz, w16_.data() + row) +
-             bias_[n];
-    }
-    return kernels::sparse_dot_f32(x.indices, x.values, x.nnz, w_.data() + row) + bias_[n];
-  }
-  float pre_activation_f32(std::uint32_t n, const float* prev_act) const {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    return kernels::dot_f32(prev_act, w_.data() + row, input_dim_) + bias_[n];
-  }
-  float pre_activation_bf16(std::uint32_t n, const bf16* prev_act16) const {
-    const std::size_t row = static_cast<std::size_t>(n) * input_dim_;
-    if (precision_ == Precision::Bf16All) {
-      return kernels::dot_bf16_bf16(prev_act16, w16_.data() + row, input_dim_) + bias_[n];
-    }
-    return kernels::dot_bf16_f32(prev_act16, w_.data() + row, input_dim_) + bias_[n];
-  }
-  // Batched pre-activations for a dense previous layer: out[k] =
-  // <row(rows[k]), prev> + bias (rows == nullptr means neurons 0..count-1).
-  // Dispatches to the 4-row-blocked kernels; prev16 is consulted when the
-  // precision mode stores activations as bf16.
-  void pre_activation_rows(const std::uint32_t* rows, std::size_t count,
-                           const float* prev_act, const bf16* prev_act16,
-                           float* out) const {
-    if (precision_ == Precision::Bf16All) {
-      kernels::dot_rows_wbf16_xbf16(w16_.data(), input_dim_, rows, count, prev_act16,
-                                    input_dim_, out);
-    } else if (precision_ == Precision::Bf16Activations) {
-      kernels::dot_rows_wf32_xbf16(w_.data(), input_dim_, rows, count, prev_act16,
-                                   input_dim_, out);
-    } else {
-      kernels::dot_rows_f32(w_.data(), input_dim_, rows, count, prev_act, input_dim_, out);
-    }
-    if (rows != nullptr) {
-      for (std::size_t k = 0; k < count; ++k) out[k] += bias_[rows[k]];
-    } else {
-      for (std::size_t k = 0; k < count; ++k) out[k] += bias_[k];
-    }
+  // What forward_pass reads from this layer (core/forward.h).  Valid while
+  // the layer lives: its arenas never reallocate after construction.
+  LayerView view() const {
+    return {.input_dim = input_dim_,
+            .dim = dim_,
+            .activation = cfg_.activation,
+            .precision = precision_,
+            .w = w_.data(),
+            .w16 = w16_.data(),
+            .bias = bias_.data(),
+            .family = family_.get(),
+            .tables = tables_.get(),
+            .limits = {cfg_.lsh.min_active, cfg_.lsh.max_active}};
   }
 
   // --- backward (HOGWILD; called concurrently from worker threads) --------
@@ -154,9 +126,6 @@ class Layer {
 
   void hash_input_dense(const float* x, std::uint32_t* buckets) const {
     family_->hash_dense(x, buckets);
-  }
-  void hash_input_sparse(data::SparseVectorView x, std::uint32_t* buckets) const {
-    family_->hash_sparse(x.indices, x.values, x.nnz, buckets);
   }
 
   // --- raw access (serialization, tests) -----------------------------------

@@ -11,28 +11,25 @@ namespace slide {
 
 Workspace::Workspace(const Network& net, std::uint64_t seed) {
   layers.reserve(net.num_layers());
+  grads.resize(net.num_layers());
+  views.reserve(net.num_layers());
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    const Layer& L = net.layer(i);
-    LayerState st(mix64(seed, i, 0x5A3D1E5ull));
-    if (L.uses_hashing()) {
-      st.buckets.resize(L.hash_family()->num_tables());
-      const std::size_t hint =
-          std::min<std::size_t>(L.dim(), std::max<std::size_t>(L.config().lsh.min_active, 256));
-      st.active.reserve(hint);
-      st.act.reserve(hint);
-      st.grad.reserve(hint);
-    } else {
-      st.act.resize(L.dim());
-      st.grad.resize(L.dim());
-      if (net.precision() != Precision::Fp32) st.act16.resize(L.dim());
-    }
-    layers.push_back(std::move(st));
+    layers.emplace_back(net.layer(i).view(), mix64(seed, i, 0x5A3D1E5ull));
+    grads[i].grad.reserve(layers[i].act.capacity());
   }
 }
 
 Network::Network(NetworkConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.input_dim == 0) throw std::invalid_argument("Network: input_dim must be > 0");
   if (cfg_.layers.empty()) throw std::invalid_argument("Network: needs at least one layer");
+  if (cfg_.precision == Precision::Int8) {
+    throw std::invalid_argument("Network: Int8 is a serving precision; freeze to it");
+  }
+  for (std::size_t i = 0; i + 1 < cfg_.layers.size(); ++i) {
+    if (cfg_.layers[i].activation == Activation::Softmax) {
+      throw std::invalid_argument("Network: Softmax is only valid on the output layer");
+    }
+  }
   layers_.reserve(cfg_.layers.size());
   std::size_t prev = cfg_.input_dim;
   for (std::size_t i = 0; i < cfg_.layers.size(); ++i) {
@@ -49,100 +46,32 @@ std::size_t Network::num_params() const {
   return total;
 }
 
+bool Network::run_forward(data::SparseVectorView x, bool use_tables,
+                          std::span<const std::uint32_t> forced, Workspace& ws) const {
+  ws.views.clear();
+  for (const Layer& L : layers_) ws.views.push_back(L.view());
+  return forward_pass(ws.views, x, use_tables, forced, ws);
+}
+
 float Network::forward(data::SparseVectorView x, std::span<const std::uint32_t> labels,
                        Workspace& ws, bool train) {
-  const bool bf16_act = cfg_.precision != Precision::Fp32;
+  run_forward(x, /*use_tables=*/true, train ? labels : std::span<const std::uint32_t>{}, ws);
+  auto& ow = ws.layers.back();
+  const std::size_t count = ow.act.size();
+  if (layers_.back().activation() == Activation::Softmax) {
+    kernels::softmax_f32(ow.act.data(), count);
+  } else if (layers_.back().activation() == Activation::ReLU) {
+    kernels::relu_f32(ow.act.data(), count);
+  }  // Linear: pre-activations pass through
+
+  // Cross-entropy against the uniform multi-hot target.  A sampled output
+  // layer holds the forced labels in its first labels.size() slots.
   float loss = 0.0f;
-
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& L = layers_[i];
-    auto& lw = ws.layers[i];
-    const bool output_layer = i + 1 == layers_.size();
-
-    // --- active-set selection ------------------------------------------
-    std::size_t count;
-    if (L.uses_hashing()) {
-      if (i == 0) {
-        L.hash_input_sparse(x, lw.buckets.data());
-      } else {
-        const auto& pw = ws.layers[i - 1];
-        if (pw.active.empty()) {
-          L.hash_input_dense(pw.act.data(), lw.buckets.data());
-        } else {
-          L.hash_input_sparse({pw.active.data(), pw.act.data(), pw.active.size()},
-                              lw.buckets.data());
-        }
-      }
-      const lsh::SamplerLimits limits{L.config().lsh.min_active, L.config().lsh.max_active};
-      const std::span<const std::uint32_t> forced =
-          (train && output_layer) ? labels : std::span<const std::uint32_t>{};
-      lsh::select_active_set(*L.tables(), lw.buckets.data(), forced, L.dim(), limits,
-                             lw.sampler, lw.active);
-      count = lw.active.size();
-    } else {
-      lw.active.clear();
-      count = L.dim();
-    }
-    lw.act.resize(count);
-
-    // --- pre-activations ---------------------------------------------------
-    if (i == 0) {
-      // Sparse input: gather-based dots per neuron (Algorithm 1 over a
-      // sparse vector).
-      if (L.uses_hashing()) {
-        for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(lw.active[k], x);
-      } else {
-        for (std::size_t j = 0; j < count; ++j) {
-          lw.act[j] = L.pre_activation(static_cast<std::uint32_t>(j), x);
-        }
-      }
-    } else {
-      const auto& pw = ws.layers[i - 1];
-      if (!pw.active.empty()) {
-        // Compact (sparse) previous layer.
-        const data::SparseVectorView prev{pw.active.data(), pw.act.data(),
-                                          pw.active.size()};
-        if (L.uses_hashing()) {
-          for (std::size_t k = 0; k < count; ++k) lw.act[k] = L.pre_activation(lw.active[k], prev);
-        } else {
-          for (std::size_t j = 0; j < count; ++j) {
-            lw.act[j] = L.pre_activation(static_cast<std::uint32_t>(j), prev);
-          }
-        }
-      } else {
-        // Dense previous layer: 4-row-blocked batched dots.
-        const std::uint32_t* rows = L.uses_hashing() ? lw.active.data() : nullptr;
-        L.pre_activation_rows(rows, count, pw.act.data(),
-                              bf16_act ? pw.act16.data() : nullptr, lw.act.data());
-      }
-    }
-
-    // --- nonlinearity --------------------------------------------------------
-    if (L.activation() == Activation::Softmax) {
-      kernels::softmax_f32(lw.act.data(), count);
-    } else if (L.activation() == Activation::ReLU) {
-      kernels::relu_f32(lw.act.data(), count);
-    }  // Linear: pre-activations pass through (word2vec projection layer)
-    if (bf16_act) {
-      lw.act16.resize(count);
-      kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
-    }
-
-    // --- loss -----------------------------------------------------------------
-    if (train && output_layer && !labels.empty()) {
-      const float y = 1.0f / static_cast<float>(labels.size());
-      if (L.uses_hashing()) {
-        // select_active_set guarantees the forced labels occupy the first
-        // labels.size() slots of the active set.
-        for (std::size_t k = 0; k < labels.size(); ++k) {
-          loss -= y * std::log(std::max(lw.act[k], 1e-30f));
-        }
-      } else {
-        for (const std::uint32_t l : labels) {
-          loss -= y * std::log(std::max(lw.act[l], 1e-30f));
-        }
-      }
-    }
+  if (!train || labels.empty()) return loss;
+  const float y = 1.0f / static_cast<float>(labels.size());
+  for (std::size_t k = 0; k < labels.size(); ++k) {
+    const float p = ow.sampled ? ow.act[k] : ow.act[labels[k]];
+    loss -= y * std::log(std::max(p, 1e-30f));
   }
   return loss;
 }
@@ -153,59 +82,59 @@ void Network::backward(data::SparseVectorView x, std::span<const std::uint32_t> 
 
   // Softmax + cross-entropy output gradient: dL/dz = p - y.
   {
-    auto& ow = ws.layers[last];
+    const auto& ow = ws.layers[last];
+    auto& og = ws.grads[last].grad;
     const std::size_t osize = ow.act.size();
-    ow.grad.resize(osize);
-    std::memcpy(ow.grad.data(), ow.act.data(), osize * sizeof(float));
+    og.resize(osize);
+    std::memcpy(og.data(), ow.act.data(), osize * sizeof(float));
     if (!labels.empty()) {
       const float y = 1.0f / static_cast<float>(labels.size());
-      if (ow.active.empty()) {
-        for (const std::uint32_t l : labels) ow.grad[l] -= y;
-      } else {
-        for (std::size_t k = 0; k < labels.size(); ++k) ow.grad[k] -= y;
-      }
+      for (std::size_t k = 0; k < labels.size(); ++k) og[ow.sampled ? k : labels[k]] -= y;
     }
   }
 
   for (std::size_t i = last + 1; i-- > 0;) {
     Layer& L = layers_[i];
-    auto& lw = ws.layers[i];
+    const auto& lw = ws.layers[i];
+    auto& lg = ws.grads[i];
 
-    Workspace::LayerState* pw = i > 0 ? &ws.layers[i - 1] : nullptr;
-    const std::uint32_t* prev_ids = nullptr;
+    // The layer's input: the sparse example for layer 0, a compact
+    // (possibly empty) sampled layer, or a full-width one.
+    const LayerScratch* pw = i > 0 ? &ws.layers[i - 1] : nullptr;
+    float* prev_grad = nullptr;
     const float* prev_act = nullptr;
     std::size_t prev_count = 0;
     if (pw != nullptr) {
       prev_count = pw->act.size();
       prev_act = pw->act.data();
-      prev_ids = pw->active.empty() ? nullptr : pw->active.data();
-      pw->grad.resize(prev_count);
-      kernels::fill_f32(pw->grad.data(), prev_count, 0.0f);
-      lw.gather_scratch.resize(prev_count);
+      auto& pg = ws.grads[i - 1].grad;
+      pg.resize(prev_count);
+      kernels::fill_f32(pg.data(), prev_count, 0.0f);
+      prev_grad = pg.data();
+      lg.gather_scratch.resize(prev_count);
     }
 
     const std::size_t count = lw.act.size();
     for (std::size_t k = 0; k < count; ++k) {
-      const float g = lw.grad[k];
+      const float g = lg.grad[k];
       if (g == 0.0f) continue;
-      const std::uint32_t n =
-          lw.active.empty() ? static_cast<std::uint32_t>(k) : lw.active[k];
+      const std::uint32_t n = lw.sampled ? lw.active[k] : static_cast<std::uint32_t>(k);
       if (i == 0) {
         L.accumulate_grad_sparse(n, g, x);
-      } else if (prev_ids != nullptr) {
-        L.accumulate_grad_sparse(n, g, {prev_ids, prev_act, prev_count});
-        L.backprop_to_sparse(n, g, prev_ids, prev_count, lw.gather_scratch.data(),
-                             pw->grad.data());
+      } else if (pw->sampled) {
+        L.accumulate_grad_sparse(n, g, {pw->active.data(), prev_act, prev_count});
+        L.backprop_to_sparse(n, g, pw->active.data(), prev_count,
+                             lg.gather_scratch.data(), prev_grad);
       } else {
         L.accumulate_grad_dense(n, g, prev_act);
-        L.backprop_to_dense(n, g, pw->grad.data());
+        L.backprop_to_dense(n, g, prev_grad);
       }
     }
 
     // ReLU derivative for the layer we are about to process.
     if (pw != nullptr && layers_[i - 1].activation() == Activation::ReLU) {
       for (std::size_t j = 0; j < prev_count; ++j) {
-        if (prev_act[j] <= 0.0f) pw->grad[j] = 0.0f;
+        if (prev_act[j] <= 0.0f) prev_grad[j] = 0.0f;
       }
     }
   }
@@ -227,55 +156,24 @@ void Network::rebuild_hash_tables(ThreadPool* pool) {
   for (auto& L : layers_) L.rebuild_tables(pool);
 }
 
-void Network::forward_dense_all(data::SparseVectorView x, Workspace& ws) const {
-  const bool bf16_act = cfg_.precision != Precision::Fp32;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Layer& L = layers_[i];
-    auto& lw = ws.layers[i];
-    const std::size_t count = L.dim();
-    lw.active.clear();
-    lw.act.resize(count);
-    if (i == 0) {
-      for (std::size_t j = 0; j < count; ++j) {
-        lw.act[j] = L.pre_activation(static_cast<std::uint32_t>(j), x);
-      }
-    } else {
-      const auto& pw = ws.layers[i - 1];
-      L.pre_activation_rows(nullptr, count, pw.act.data(),
-                            bf16_act ? pw.act16.data() : nullptr, lw.act.data());
-    }
-    const bool output_layer = i + 1 == layers_.size();
-    if (!output_layer && L.activation() == Activation::ReLU) {
-      kernels::relu_f32(lw.act.data(), count);
-    }  // Linear hidden layers pass through
-    // Output logits stay raw: softmax is monotone, argmax/top-k need no
-    // normalization.
-    if (bf16_act && !output_layer) {
-      lw.act16.resize(count);
-      kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
-    }
-  }
-}
-
 std::uint32_t Network::predict_top1(data::SparseVectorView x, Workspace& ws) const {
-  forward_dense_all(x, ws);
+  run_forward(x, /*use_tables=*/false, {}, ws);
   const auto& out = ws.layers.back().act;
   return static_cast<std::uint32_t>(kernels::argmax_f32(out.data(), out.size()));
 }
 
 void Network::predict_topk(data::SparseVectorView x, std::size_t k, Workspace& ws,
                            std::vector<std::uint32_t>& out) const {
-  forward_dense_all(x, ws);
+  run_forward(x, /*use_tables=*/false, {}, ws);
   const auto& logits = ws.layers.back().act;
   topk_indices(logits.data(), logits.size(), k, out);
 }
 
-std::uint32_t Network::predict_top1_sampled(data::SparseVectorView x, Workspace& ws) {
-  forward(x, {}, ws, /*train=*/false);
+std::uint32_t Network::predict_top1_sampled(data::SparseVectorView x, Workspace& ws) const {
+  if (!run_forward(x, /*use_tables=*/true, {}, ws)) return predict_top1(x, ws);
   const auto& ow = ws.layers.back();
-  if (ow.active.empty()) return predict_top1(x, ws);  // degenerate: no candidates
   const std::size_t best = kernels::argmax_f32(ow.act.data(), ow.act.size());
-  return ow.active[best];
+  return ow.sampled ? ow.active[best] : static_cast<std::uint32_t>(best);
 }
 
 }  // namespace slide

@@ -12,29 +12,25 @@
 #include <span>
 #include <vector>
 
+#include "core/forward.h"
 #include "core/layer.h"
-#include "core/scratch.h"
-#include "lsh/sampler.h"
 
 namespace slide {
 
 class Network;
 
-// Per-thread buffers for one example's forward/backward pass.
-class Workspace {
+// Per-thread buffers for one example's forward/backward pass: the shared
+// forward-pass scratch (core/forward.h) plus the gradient-side buffers.
+class Workspace : public ForwardScratch {
  public:
   Workspace(const Network& net, std::uint64_t seed);
 
-  // The query-side scratch (active set, activations, buckets, sampler) is the
-  // shared LayerScratch; training adds the gradient-side buffers.
-  struct LayerState : LayerScratch {
-    AlignedVector<float> grad;          // dL/d(pre-activation), same indexing as act
+  struct GradState {
+    AlignedVector<float> grad;  // dL/d(pre-activation), same indexing as act
     AlignedVector<float> gather_scratch;
-
-    explicit LayerState(std::uint64_t sampler_seed) : LayerScratch(sampler_seed) {}
   };
-
-  std::vector<LayerState> layers;
+  std::vector<GradState> grads;   // one per layer, like `layers`
+  std::vector<LayerView> views;   // refreshed by every pass
 };
 
 class Network {
@@ -76,21 +72,25 @@ class Network {
   void rebuild_hash_tables(ThreadPool* pool);
 
   // Full (dense) inference: evaluates every output neuron.  Used for P@k.
+  // The output layer's raw logits are left in ws.layers.back().act.
   std::uint32_t predict_top1(data::SparseVectorView x, Workspace& ws) const;
   void predict_topk(data::SparseVectorView x, std::size_t k, Workspace& ws,
                     std::vector<std::uint32_t>& out) const;
 
   // LSH-sampled inference: queries the hash tables instead of scanning all
   // output neurons (sublinear, slightly lossy).  Returns the highest-logit
-  // neuron among the sampled active set.
-  std::uint32_t predict_top1_sampled(data::SparseVectorView x, Workspace& ws);
+  // neuron among the sampled active set, or the dense answer when a sampled
+  // layer selects no neuron.
+  std::uint32_t predict_top1_sampled(data::SparseVectorView x, Workspace& ws) const;
 
   std::uint64_t adam_steps() const { return adam_t_; }
   void set_adam_steps(std::uint64_t t) { adam_t_ = t; }
 
  private:
-  // Shared by forward() and the dense predict path.
-  void forward_dense_all(data::SparseVectorView x, Workspace& ws) const;
+  // forward_pass over this network's layers; shared by forward() and the
+  // predict paths.  Returns false when a sampled layer selected no neuron.
+  bool run_forward(data::SparseVectorView x, bool use_tables,
+                   std::span<const std::uint32_t> forced, Workspace& ws) const;
 
   NetworkConfig cfg_;
   std::vector<Layer> layers_;

@@ -4,13 +4,12 @@
 
 #include "core/metrics.h"
 #include "kernels/kernels.h"
-#include "lsh/sampler.h"
 #include "util/rng.h"
 
 namespace slide::infer {
 
 InferenceEngine::InferenceEngine(const PackedModel& model, std::uint64_t seed)
-    : model_(model), seed_(seed) {}
+    : model_(model), views_(model.views()), seed_(seed) {}
 
 std::unique_ptr<InferenceEngine::Scratch> InferenceEngine::acquire_scratch() {
   {
@@ -23,20 +22,9 @@ std::unique_ptr<InferenceEngine::Scratch> InferenceEngine::acquire_scratch() {
   }
   const std::uint64_t seq = scratch_seq_.fetch_add(1, std::memory_order_relaxed);
   auto s = std::make_unique<Scratch>();
-  s->layers.reserve(model_.num_layers());
-  for (std::size_t i = 0; i < model_.num_layers(); ++i) {
-    const PackedModel::Layer& L = model_.layer(i);
-    LayerScratch st(mix64(seed_, seq, i));
-    if (L.uses_hashing()) {
-      st.buckets.resize(L.family->num_tables());
-      const std::size_t hint =
-          std::min<std::size_t>(L.dim, std::max<std::size_t>(L.cfg.lsh.min_active, 256));
-      st.active.reserve(hint);
-      st.act.reserve(hint);
-    } else {
-      st.act.reserve(L.dim);
-    }
-    s->layers.push_back(std::move(st));
+  s->layers.reserve(views_.size());
+  for (std::size_t i = 0; i < views_.size(); ++i) {
+    s->layers.emplace_back(views_[i], mix64(seed_, seq, i));
   }
   return s;
 }
@@ -46,165 +34,15 @@ void InferenceEngine::release_scratch(std::unique_ptr<Scratch> s) {
   free_.push_back(std::move(s));
 }
 
-// One forward pass, kernel-for-kernel identical to the Network paths so
-// that fp32 logits — and therefore the top-k — are bit-identical to
-// Network::predict_topk.  With use_tables, hashed layers select an LSH
-// candidate set first (compact activations over `active`); without, every
-// layer runs full-width through the blocked dot_rows_* kernels.  Returns
-// false when a hashed layer produced an empty candidate set (possible when
-// min_active == 0 and every probed bucket is empty) — the pass is aborted
-// and the caller falls back to the exact pass.
-bool InferenceEngine::forward_pass(data::SparseVectorView x, bool use_tables, Scratch& s) {
-  const Precision prec = model_.precision();
-  const bool int8 = prec == Precision::Int8;
-  const bool bf16_act = prec == Precision::Bf16Activations || prec == Precision::Bf16All;
-  const bool bf16_w = prec == Precision::Bf16All;
-  const std::size_t last = model_.num_layers() - 1;
-  if (int8) {
-    // Quantize the query's sparse values once against layer 0's input
-    // qparams; every candidate row then reuses the same u8 buffer.
-    const PackedModel::Layer& L0 = model_.layer(0);
-    s.qin.resize(x.nnz);
-    kernels::quantize_u8(x.values, s.qin.data(), x.nnz, 1.0f / L0.in_scale, L0.in_zero);
-  }
-  for (std::size_t i = 0; i < model_.num_layers(); ++i) {
-    const PackedModel::Layer& L = model_.layer(i);
-    LayerScratch& lw = s.layers[i];
-
-    // --- candidate selection from the frozen tables ----------------------
-    std::size_t count;
-    if (use_tables && L.uses_hashing()) {
-      if (i == 0) {
-        L.family->hash_sparse(x.indices, x.values, x.nnz, lw.buckets.data());
-      } else {
-        const LayerScratch& pw = s.layers[i - 1];
-        if (pw.active.empty()) {
-          L.family->hash_dense(pw.act.data(), lw.buckets.data());
-        } else {
-          L.family->hash_sparse(pw.active.data(), pw.act.data(), pw.active.size(),
-                                lw.buckets.data());
-        }
-      }
-      const lsh::SamplerLimits limits{L.cfg.lsh.min_active, L.cfg.lsh.max_active};
-      lsh::select_active_set(*L.tables, lw.buckets.data(), {}, L.dim, limits, lw.sampler,
-                             lw.active);
-      count = lw.active.size();
-      if (count == 0) return false;
-    } else {
-      lw.active.clear();
-      count = L.dim;
-    }
-    lw.act.resize(count);
-
-    // --- pre-activations --------------------------------------------------
-    if (i == 0) {
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::uint32_t n =
-            lw.active.empty() ? static_cast<std::uint32_t>(k) : lw.active[k];
-        if (int8) {
-          // Sparse input: absent features are exactly 0 in fp32 and simply
-          // missing from the quantized sum, so only the participating
-          // indices' weights enter the zero-point correction (wsum).
-          std::int32_t dot, wsum;
-          kernels::sparse_dot_u8s8(x.indices, s.qin.data(), x.nnz, L.row_i8(n), &dot,
-                                   &wsum);
-          lw.act[k] = L.in_scale * L.w_scale[n] *
-                          static_cast<float>(dot - L.in_zero * wsum) +
-                      L.bias[n];
-        } else {
-          lw.act[k] = (bf16_w ? kernels::sparse_dot_bf16(x.indices, x.values, x.nnz,
-                                                         L.row_bf16(n))
-                              : kernels::sparse_dot_f32(x.indices, x.values, x.nnz,
-                                                        L.row_f32(n))) +
-                      L.bias[n];
-        }
-      }
-    } else {
-      const LayerScratch& pw = s.layers[i - 1];
-      if (!pw.active.empty()) {
-        // Compact (sampled) previous layer: per-neuron gathered dots.
-        for (std::size_t k = 0; k < count; ++k) {
-          const std::uint32_t n =
-              lw.active.empty() ? static_cast<std::uint32_t>(k) : lw.active[k];
-          if (int8) {
-            std::int32_t dot, wsum;
-            kernels::sparse_dot_u8s8(pw.active.data(), pw.act8.data(), pw.active.size(),
-                                     L.row_i8(n), &dot, &wsum);
-            lw.act[k] = L.in_scale * L.w_scale[n] *
-                            static_cast<float>(dot - L.in_zero * wsum) +
-                        L.bias[n];
-          } else {
-            lw.act[k] = (bf16_w ? kernels::sparse_dot_bf16(pw.active.data(), pw.act.data(),
-                                                           pw.active.size(), L.row_bf16(n))
-                                : kernels::sparse_dot_f32(pw.active.data(), pw.act.data(),
-                                                          pw.active.size(), L.row_f32(n))) +
-                        L.bias[n];
-          }
-        }
-      } else {
-        // Dense previous layer: blocked dots over the (candidate) rows.
-        const std::uint32_t* rows = lw.active.empty() ? nullptr : lw.active.data();
-        if (int8) {
-          // Full-width previous layer: every input is represented, so the
-          // zero-point correction uses the precomputed full-row weight sums.
-          s.acc32.resize(count);
-          kernels::dot_rows_u8s8(L.w8.data(), L.input_dim, rows, count, pw.act8.data(),
-                                 L.input_dim, s.acc32.data());
-          for (std::size_t k = 0; k < count; ++k) {
-            const std::uint32_t n =
-                rows == nullptr ? static_cast<std::uint32_t>(k) : rows[k];
-            lw.act[k] = L.in_scale * L.w_scale[n] *
-                            static_cast<float>(s.acc32[k] - L.in_zero * L.w_rowsum[n]) +
-                        L.bias[n];
-          }
-        } else {
-          if (bf16_w) {
-            kernels::dot_rows_wbf16_xbf16(L.w16.data(), L.input_dim, rows, count,
-                                          pw.act16.data(), L.input_dim, lw.act.data());
-          } else if (bf16_act) {
-            kernels::dot_rows_wf32_xbf16(L.w.data(), L.input_dim, rows, count,
-                                         pw.act16.data(), L.input_dim, lw.act.data());
-          } else {
-            kernels::dot_rows_f32(L.w.data(), L.input_dim, rows, count, pw.act.data(),
-                                  L.input_dim, lw.act.data());
-          }
-          if (rows != nullptr) {
-            for (std::size_t k = 0; k < count; ++k) lw.act[k] += L.bias[rows[k]];
-          } else {
-            for (std::size_t k = 0; k < count; ++k) lw.act[k] += L.bias[k];
-          }
-        }
-      }
-    }
-
-    const bool output_layer = i == last;
-    if (!output_layer && L.activation() == Activation::ReLU) {
-      kernels::relu_f32(lw.act.data(), count);
-    }  // Linear hidden layers pass through; output logits stay raw.
-    if (bf16_act && !output_layer) {
-      lw.act16.resize(count);
-      kernels::fp32_to_bf16(lw.act.data(), lw.act16.data(), count);
-    }
-    if (int8 && !output_layer) {
-      // Layer i+1's qparams describe its input — i.e. this layer's output.
-      const PackedModel::Layer& N = model_.layer(i + 1);
-      lw.act8.resize(count);
-      kernels::quantize_u8(lw.act.data(), lw.act8.data(), count, 1.0f / N.in_scale,
-                           N.in_zero);
-    }
-  }
-  return true;
-}
-
 void InferenceEngine::forward(data::SparseVectorView x, TopKMode mode, Scratch& s) {
-  if (mode == TopKMode::Sampled && forward_pass(x, /*use_tables=*/true, s)) return;
-  forward_pass(x, /*use_tables=*/false, s);
+  if (mode == TopKMode::Sampled && forward_pass(views_, x, /*use_tables=*/true, {}, s)) return;
+  forward_pass(views_, x, /*use_tables=*/false, {}, s);
 }
 
 void InferenceEngine::emit_topk(Scratch& s, std::size_t k, std::vector<std::uint32_t>& ids,
                                 std::vector<float>* scores) {
   const LayerScratch& out = s.layers.back();
-  if (out.active.empty()) {
+  if (!out.sampled) {
     topk_indices(out.act.data(), out.act.size(), k, ids);
   } else {
     // Compact logits: rank, then map back to real neuron ids.
@@ -237,7 +75,7 @@ std::uint32_t InferenceEngine::predict_top1(data::SparseVectorView x, TopKMode m
   forward(x, mode, s);
   const LayerScratch& out = s.layers.back();
   const std::size_t best = kernels::argmax_f32(out.act.data(), out.act.size());
-  return out.active.empty() ? static_cast<std::uint32_t>(best) : out.active[best];
+  return out.sampled ? out.active[best] : static_cast<std::uint32_t>(best);
 }
 
 void InferenceEngine::predict_topk_batch(std::span<const data::SparseVectorView> xs,

@@ -1,16 +1,17 @@
 // Thread-safe, batched serving front end over a PackedModel.
 //
 // The engine owns a pool of per-query scratch buffers (activations, active
-// sets, sampler state — the shared LayerScratch of core/scratch.h).  Every
-// query leases one, so any number of caller threads can issue queries
+// sets, sampler state — the ForwardScratch of core/forward.h).  Every query
+// leases one, so any number of caller threads can issue queries
 // concurrently against the same immutable model; the batch entry point fans
 // a whole query batch out over the thread pool with one lease per worker
 // chunk.
 //
 // Two ranking modes:
 //   Dense    every output neuron is evaluated through the blocked
-//            dot_rows_* kernels — exact, and bit-identical to
-//            Network::predict_topk on the same frozen weights.
+//            dot_rows_* kernels — exact.  Network::predict_topk runs the
+//            same forward_pass, so on the same frozen weights the two agree
+//            bit for bit.
 //   Sampled  the frozen LSH tables pick a candidate set first (SLIDE's
 //            sublinear inference); top-k is taken over the candidates only.
 // Scores are raw pre-softmax logits in both modes (softmax is monotone, so
@@ -25,7 +26,7 @@
 #include <span>
 #include <vector>
 
-#include "core/scratch.h"
+#include "core/forward.h"
 #include "data/sparse_batch.h"
 #include "infer/packed_model.h"
 #include "threading/thread_pool.h"
@@ -73,11 +74,8 @@ class InferenceEngine {
                           const BatchCompletionFn& on_query_done = {});
 
  private:
-  struct Scratch {
-    std::vector<LayerScratch> layers;
+  struct Scratch : ForwardScratch {
     std::vector<std::uint32_t> topk;
-    AlignedVector<std::uint8_t> qin;     // int8 mode: quantized query values
-    AlignedVector<std::int32_t> acc32;   // int8 mode: raw i32 dot accumulators
   };
   // RAII lease: returns the scratch to the freelist on destruction.
   class Lease {
@@ -96,16 +94,16 @@ class InferenceEngine {
   std::unique_ptr<Scratch> acquire_scratch();
   void release_scratch(std::unique_ptr<Scratch> s);
 
-  // Runs the forward pass, leaving the output logits in the last layer's
+  // Runs forward_pass, leaving the output logits in the last layer's
   // scratch (compact over `active` in sampled mode, full-width otherwise).
+  // A sampled pass in which a hashed layer selected no candidate is redone
+  // as the exact full-width pass.
   void forward(data::SparseVectorView x, TopKMode mode, Scratch& s);
-  // Returns false when a hashed layer's candidate set came up empty (the
-  // caller then falls back to the exact full-width pass).
-  bool forward_pass(data::SparseVectorView x, bool use_tables, Scratch& s);
   void emit_topk(Scratch& s, std::size_t k, std::vector<std::uint32_t>& ids,
                  std::vector<float>* scores);
 
   const PackedModel& model_;
+  const std::vector<LayerView> views_;  // model_'s layers, which never change
   std::uint64_t seed_;
   std::atomic<std::uint64_t> scratch_seq_{0};
   std::mutex mutex_;

@@ -153,32 +153,28 @@ PackedModel PackedModel::freeze(const Network& net, Precision precision,
   // table contents).  Layer i+1's observations are layer i's post-activation
   // outputs; layer 0 sees the raw sparse feature values (its zeros are
   // implicit, and choose_range always includes 0).  The last layer's output
-  // feeds nothing, so the forward stops one layer short.
+  // feeds nothing, so the pass stops one layer short; forward_pass leaves
+  // the layer it stops at raw, so that layer's ReLU is applied here.
+  std::vector<LayerView> staged;
+  ForwardScratch fs;
+  for (std::size_t i = 0; i + 1 < num_layers; ++i) {
+    staged.push_back(pm.layers_[i].view(Precision::Fp32));
+    staged.back().w = wf[i].data();
+    fs.layers.emplace_back(staged.back(), 0);
+  }
   std::vector<std::vector<float>> observed(num_layers);
   const std::size_t n_samples = std::min(cal.max_samples, calibration.size());
-  AlignedVector<float> cur, out;
   for (std::size_t s = 0; s < n_samples; ++s) {
     const data::SparseVectorView x = calibration[s];
     observed[0].insert(observed[0].end(), x.values, x.values + x.nnz);
-    for (std::size_t i = 0; i + 1 < num_layers; ++i) {
-      const Layer& L = pm.layers_[i];
-      out.resize(L.dim);
-      if (i == 0) {
-        for (std::size_t n = 0; n < L.dim; ++n) {
-          out[n] = kernels::sparse_dot_f32(x.indices, x.values, x.nnz,
-                                           wf[i].data() + n * L.input_dim) +
-                   L.bias[n];
-        }
-      } else {
-        kernels::dot_rows_f32(wf[i].data(), L.input_dim, nullptr, L.dim, cur.data(),
-                              L.input_dim, out.data());
-        for (std::size_t n = 0; n < L.dim; ++n) out[n] += L.bias[n];
+    if (staged.empty()) continue;
+    forward_pass(staged, x, /*use_tables=*/false, {}, fs);
+    for (std::size_t i = 0; i < staged.size(); ++i) {
+      AlignedVector<float>& act = fs.layers[i].act;
+      if (i + 1 == staged.size() && staged[i].activation == Activation::ReLU) {
+        kernels::relu_f32(act.data(), act.size());
       }
-      // Matches the engine's rule: ReLU clamps every non-output layer,
-      // Linear/Softmax hidden outputs pass through raw.
-      if (L.cfg.activation == Activation::ReLU) kernels::relu_f32(out.data(), L.dim);
-      observed[i + 1].insert(observed[i + 1].end(), out.begin(), out.end());
-      std::swap(cur, out);
+      observed[i + 1].insert(observed[i + 1].end(), act.begin(), act.end());
     }
   }
 
@@ -268,6 +264,13 @@ void PackedModel::rebuild_lsh() {
     }
     L.tables->bulk_load(buckets.data(), L.dim, &pool);
   }
+}
+
+std::vector<LayerView> PackedModel::views() const {
+  std::vector<LayerView> out;
+  out.reserve(layers_.size());
+  for (const Layer& L : layers_) out.push_back(L.view(precision_));
+  return out;
 }
 
 std::size_t PackedModel::num_params() const {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/forward.h"
 #include "core/network.h"
 #include "data/sparse_batch.h"
 #include "lsh/hash_function.h"
@@ -106,6 +107,24 @@ class PackedModel {
     const std::int8_t* row_i8(std::uint32_t n) const {
       return w8.data() + std::size_t{n} * input_dim;
     }
+    // What forward_pass reads from this layer at the model's precision.
+    LayerView view(Precision precision) const {
+      return {.input_dim = input_dim,
+              .dim = dim,
+              .activation = cfg.activation,
+              .precision = precision,
+              .w = w.data(),
+              .w16 = w16.data(),
+              .w8 = w8.data(),
+              .w_scale = w_scale.data(),
+              .w_rowsum = w_rowsum.data(),
+              .in_scale = in_scale,
+              .in_zero = in_zero,
+              .bias = bias.data(),
+              .family = family.get(),
+              .tables = tables.get(),
+              .limits = {cfg.lsh.min_active, cfg.lsh.max_active}};
+    }
     // Bytes held by the weight/bias arenas (the serving working set).
     std::size_t arena_bytes() const {
       return w.size() * sizeof(float) + w16.size() * sizeof(bf16) +
@@ -136,6 +155,8 @@ class PackedModel {
   Precision precision() const { return precision_; }
   std::size_t num_layers() const { return layers_.size(); }
   const Layer& layer(std::size_t i) const { return layers_[i]; }
+  // Every layer's view(precision()), valid while the model lives.
+  std::vector<LayerView> views() const;
   std::size_t input_dim() const { return input_dim_; }
   std::size_t output_dim() const { return layers_.back().dim; }
   std::size_t num_params() const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -58,26 +59,62 @@ TEST(Layer, InitializationScaleTracksFanIn) {
   EXPECT_NEAR(rms(narrow.weights_f32()), std::sqrt(2.0 / 16), 0.05);
 }
 
+// Runs forward_pass over the given layers, one LayerScratch each.
+ForwardScratch scratch_for(const std::vector<LayerView>& views) {
+  ForwardScratch s;
+  for (std::size_t i = 0; i < views.size(); ++i) s.layers.emplace_back(views[i], i + 1);
+  return s;
+}
+
 TEST(Layer, PreActivationMatchesManualDot) {
-  Layer L(8, dense_cfg(3), Precision::Fp32, 5);
-  std::vector<float> x = {1, 2, 3, 4, 5, 6, 7, 8};
+  // Layer 0 reads the sparse input, layer 1 layer 0's full-width output.
+  Layer l0(8, dense_cfg(5), Precision::Fp32, 5);
+  Layer l1(5, dense_cfg(3, Activation::Linear), Precision::Fp32, 6);
+  for (std::size_t n = 0; n < 5; ++n) l0.biases()[n] = 0.1f * static_cast<float>(n);
+  for (std::size_t n = 0; n < 3; ++n) l1.biases()[n] = -0.2f * static_cast<float>(n);
+  const std::vector<LayerView> views = {l0.view(), l1.view()};
+  ForwardScratch s = scratch_for(views);
+  const std::vector<std::uint32_t> idx = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<float> x = {1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_TRUE(forward_pass(views, {idx.data(), x.data(), 8}, false, {}, s));
+
+  const auto& h = s.layers[0].act;
+  ASSERT_EQ(h.size(), 5u);
+  for (std::uint32_t n = 0; n < 5; ++n) {
+    double ref = l0.biases()[n];
+    for (std::size_t j = 0; j < 8; ++j) ref += static_cast<double>(l0.row_f32(n)[j]) * x[j];
+    EXPECT_NEAR(h[n], std::max(ref, 0.0), 1e-5);  // hidden ReLU
+  }
+  ASSERT_EQ(s.layers[1].act.size(), 3u);
   for (std::uint32_t n = 0; n < 3; ++n) {
-    double ref = 0;
-    for (std::size_t j = 0; j < 8; ++j) ref += static_cast<double>(L.row_f32(n)[j]) * x[j];
-    EXPECT_NEAR(L.pre_activation_f32(n, x.data()), ref, 1e-5);
+    double ref = l1.biases()[n];
+    for (std::size_t j = 0; j < 5; ++j) ref += static_cast<double>(l1.row_f32(n)[j]) * h[j];
+    EXPECT_NEAR(s.layers[1].act[n], ref, 1e-5);  // output stays raw
   }
 }
 
 TEST(Layer, SparsePreActivationMatchesDenseEquivalent) {
-  Layer L(16, dense_cfg(4), Precision::Fp32, 9);
+  // A sampled layer that selects all of its neurons hands the next layer a
+  // compact (sparse) input; a full-width pass hands it the dense equivalent.
+  LayerConfig hidden = hashed_cfg(16);
+  hidden.activation = Activation::ReLU;
+  hidden.lsh.min_active = 16;
+  Layer l0(16, hidden, Precision::Fp32, 9);
+  l0.rebuild_tables(nullptr);
+  Layer l1(16, dense_cfg(4), Precision::Fp32, 10);
+  const std::vector<LayerView> views = {l0.view(), l1.view()};
+  ForwardScratch s = scratch_for(views);
   const std::uint32_t idx[] = {2, 7, 11};
   const float val[] = {1.5f, -2.0f, 0.25f};
-  std::vector<float> dense(16, 0.0f);
-  for (int k = 0; k < 3; ++k) dense[idx[k]] = val[k];
-  for (std::uint32_t n = 0; n < 4; ++n) {
-    EXPECT_NEAR(L.pre_activation(n, {idx, val, 3}), L.pre_activation_f32(n, dense.data()),
-                1e-5f);
-  }
+
+  forward_pass(views, {idx, val, 3}, true, {}, s);
+  ASSERT_TRUE(s.layers[0].sampled);
+  ASSERT_EQ(s.layers[0].active.size(), 16u);
+  const std::vector<float> sparse(s.layers[1].act.begin(), s.layers[1].act.end());
+  forward_pass(views, {idx, val, 3}, false, {}, s);
+  ASSERT_FALSE(s.layers[0].sampled);
+  ASSERT_EQ(sparse.size(), 4u);
+  for (std::size_t n = 0; n < 4; ++n) EXPECT_NEAR(sparse[n], s.layers[1].act[n], 1e-5f);
 }
 
 TEST(Layer, AccumulateThenAdamMovesOnlyDirtyRows) {
@@ -156,16 +193,18 @@ TEST(Layer, Bf16AllStoresWeightsAsBf16) {
 
   // The bf16 layer's pre-activation approximates an fp32 twin's.
   Layer ref(16, dense_cfg(4), Precision::Fp32, 29);
-  std::vector<float> x(16, 1.0f);
-  for (std::uint32_t n = 0; n < 4; ++n) {
-    const float a = L.pre_activation(n, {nullptr, nullptr, 0});  // bias only
-    EXPECT_EQ(a, 0.0f);
-    std::vector<std::uint32_t> idx(16);
-    std::vector<float> val(16, 1.0f);
-    for (std::size_t i = 0; i < 16; ++i) idx[i] = static_cast<std::uint32_t>(i);
-    const float full = L.pre_activation(n, {idx.data(), val.data(), 16});
-    const float exact = ref.pre_activation_f32(n, x.data());
-    EXPECT_NEAR(full, exact, std::abs(exact) * 0.02f + 0.02f);
+  const std::vector<LayerView> bf = {L.view()}, fp = {ref.view()};
+  ForwardScratch sb = scratch_for(bf), sf = scratch_for(fp);
+  forward_pass(bf, {nullptr, nullptr, 0}, false, {}, sb);  // bias only
+  for (const float a : sb.layers[0].act) EXPECT_EQ(a, 0.0f);
+  std::vector<std::uint32_t> idx(16);
+  const std::vector<float> val(16, 1.0f);
+  for (std::size_t i = 0; i < 16; ++i) idx[i] = static_cast<std::uint32_t>(i);
+  forward_pass(bf, {idx.data(), val.data(), 16}, false, {}, sb);
+  forward_pass(fp, {idx.data(), val.data(), 16}, false, {}, sf);
+  for (std::size_t n = 0; n < 4; ++n) {
+    const float exact = sf.layers[0].act[n];
+    EXPECT_NEAR(sb.layers[0].act[n], exact, std::abs(exact) * 0.02f + 0.02f);
   }
 }
 

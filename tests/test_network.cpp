@@ -36,6 +36,13 @@ TEST(Network, ValidatesConfig) {
   EXPECT_THROW(Network{bad}, std::invalid_argument);
   bad.input_dim = 4;
   EXPECT_THROW(Network{bad}, std::invalid_argument);
+  // Int8 is a frozen-model precision, and forward_pass leaves a hidden
+  // Softmax unapplied.
+  bad = make_dense_mlp(4, 3, 2, Precision::Int8, 1);
+  EXPECT_THROW(Network{bad}, std::invalid_argument);
+  bad = make_dense_mlp(4, 3, 2, Precision::Fp32, 1);
+  bad.layers[0].activation = Activation::Softmax;
+  EXPECT_THROW(Network{bad}, std::invalid_argument);
 }
 
 TEST(Network, CountsParameters) {
@@ -185,6 +192,56 @@ TEST(Network, SampledPredictReturnsValidNeuron) {
   const std::vector<float> val = {1.0f};
   const std::uint32_t p = net.predict_top1_sampled(view(idx, val), ws);
   EXPECT_LT(p, net.output_dim());
+}
+
+TEST(Network, EmptySampledHiddenLayerPassesOnlyBiases) {
+  // A hashed hidden layer with min_active = 0 can select no neuron.  The
+  // next layer must then see an empty input, not whatever the workspace
+  // held from an earlier example: the same input gives the same output in
+  // workspaces with different histories.
+  NetworkConfig cfg;
+  cfg.input_dim = 8;
+  cfg.seed = 7;
+  LayerConfig hidden;
+  hidden.dim = 4;
+  hidden.lsh.kind = HashKind::SimHash;
+  hidden.lsh.k = 16;
+  hidden.lsh.l = 1;
+  hidden.lsh.min_active = 0;
+  LayerConfig out;
+  out.dim = 3;
+  out.activation = Activation::Softmax;
+  cfg.layers = {hidden, out};
+  Network net(cfg);
+
+  // Neuron 0's own weight row lands in its bucket; the negated row flips
+  // every SimHash bit and lands in an empty one.
+  const std::vector<std::uint32_t> idx = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<float> hit(net.layer(0).row_f32(0), net.layer(0).row_f32(0) + 8);
+  std::vector<float> miss(hit);
+  for (float& v : miss) v = -v;
+  const std::vector<std::uint32_t> labels = {1};
+
+  Workspace used = net.make_workspace(1);
+  net.forward(view(idx, hit), labels, used, true);
+  ASSERT_FALSE(used.layers[0].active.empty());
+  net.backward(view(idx, hit), labels, used);
+  const float loss_used = net.forward(view(idx, miss), labels, used, true);
+  ASSERT_TRUE(used.layers[0].active.empty());
+  net.backward(view(idx, miss), labels, used);
+
+  Workspace fresh = net.make_workspace(2);
+  const float loss_fresh = net.forward(view(idx, miss), labels, fresh, true);
+  EXPECT_EQ(loss_used, loss_fresh);
+  const auto& a = used.layers.back().act;
+  const auto& b = fresh.layers.back().act;
+  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(b.size(), 3u);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(a[j], b[j]) << "output " << j;
+    EXPECT_NEAR(a[j], 1.0f / 3.0f, 1e-6f);  // zero biases: only biases pass on
+  }
+  EXPECT_EQ(net.predict_top1_sampled(view(idx, miss), fresh), net.predict_top1(view(idx, miss), fresh));
 }
 
 TEST(Network, TrainingStepReducesLossOnOneExample) {

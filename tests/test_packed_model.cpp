@@ -107,10 +107,16 @@ TEST(PackedModel, DenseParityAcrossPrecisions) {
     const data::Dataset queries = query_set(16);
     Workspace ws = net.make_workspace();
     std::vector<std::uint32_t> want, got;
+    std::vector<float> scores;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       net.predict_topk(queries.features(i), 5, ws, want);
-      engine.predict_topk(queries.features(i), 5, got);
+      engine.predict_topk(queries.features(i), 5, got, infer::TopKMode::Dense, &scores);
       ASSERT_EQ(want, got) << "precision " << static_cast<int>(p) << " query " << i;
+      const auto& logits = ws.layers.back().act;
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        ASSERT_EQ(scores[j], logits[got[j]])
+            << "precision " << static_cast<int>(p) << " query " << i << " rank " << j;
+      }
     }
   }
 }

@@ -122,7 +122,7 @@ TEST(Quantization, Int8BatchedMatchesPerExample) {
   infer::InferenceEngine engine(pm);
 
   constexpr std::size_t k = 7;
-  std::vector<std::uint32_t> batch_ids(views.size() * k);
+  std::vector<std::uint32_t> batch_ids(views.size() * k, infer::InferenceEngine::kInvalidId);
   std::vector<float> batch_scores(views.size() * k);
   engine.predict_topk_batch(views, k, batch_ids.data(), batch_scores.data());
 
